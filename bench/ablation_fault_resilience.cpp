@@ -45,17 +45,17 @@ fault::ResilienceReport run_arm(bool resilience) {
     const std::string email = "viewer-" + std::to_string(i) + "@example.com";
     d.add_user(email, "pw");
     net::AsyncClient& client = d.add_client(email, "pw", region);
-    bool done = false;
-    client.login([&](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done = true;
-        return;
-      }
-      client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-    });
-    const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-    while (!done && d.sim().now() < deadline && d.sim().step()) {
-    }
+    d.await(
+        [&](net::AsyncClient::Callback done) {
+          client.login([&client, done](core::DrmError err) {
+            if (err != core::DrmError::kOk) {
+              done(err);
+              return;
+            }
+            client.switch_channel(kChannel, done);
+          });
+        },
+        5 * util::kMinute);
     d.announce(client);
     client.enable_auto_renewal();
   }

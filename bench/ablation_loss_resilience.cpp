@@ -6,7 +6,6 @@
 // managers) over the simulated lossy network and sweeps the loss rate:
 // completion rate, end-to-end login+switch+join time, and the retry bill.
 #include <cstdio>
-#include <optional>
 
 #include "analysis/stats.h"
 #include "net/deployment.h"
@@ -22,22 +21,20 @@ struct Outcome {
 };
 
 Outcome run_one_viewer(net::Deployment& d, net::AsyncClient& client) {
-  std::optional<core::DrmError> login_result;
-  std::optional<core::DrmError> switch_result;
   const util::SimTime started = d.sim().now();
-  client.login([&](core::DrmError err) {
-    login_result = err;
-    if (err != core::DrmError::kOk) {
-      switch_result = err;
-      return;
-    }
-    client.switch_channel(1, [&](core::DrmError err2) { switch_result = err2; });
-  });
-  const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-  while (!switch_result && d.sim().now() < deadline && d.sim().step()) {
-  }
+  const core::DrmError result = d.await(
+      [&](net::AsyncClient::Callback done) {
+        client.login([&client, done](core::DrmError err) {
+          if (err != core::DrmError::kOk) {
+            done(err);
+            return;
+          }
+          client.switch_channel(1, done);
+        });
+      },
+      5 * util::kMinute);
   Outcome out;
-  out.ok = switch_result && *switch_result == core::DrmError::kOk;
+  out.ok = result == core::DrmError::kOk;
   out.seconds = util::to_seconds(d.sim().now() - started);
   return out;
 }

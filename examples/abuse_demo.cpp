@@ -92,17 +92,17 @@ core::ChannelRecord make_global_channel(const net::Deployment& d) {
 /// Log in + switch + announce one honest viewer, driven to completion on
 /// the sim backend (mirrors chaos_demo's provisioning loop).
 void provision_viewer_sim(net::Deployment& d, net::AsyncClient& client) {
-  bool done = false;
-  client.login([&](core::DrmError err) {
-    if (err != core::DrmError::kOk) {
-      done = true;
-      return;
-    }
-    client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-  });
-  const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-  while (!done && d.sim().now() < deadline && d.sim().step()) {
-  }
+  d.await(
+      [&](net::AsyncClient::Callback done) {
+        client.login([&client, done](core::DrmError err) {
+          if (err != core::DrmError::kOk) {
+            done(err);
+            return;
+          }
+          client.switch_channel(kChannel, done);
+        });
+      },
+      5 * util::kMinute);
   d.announce(client);
   client.enable_auto_renewal();
 }

@@ -85,6 +85,22 @@ const char* kDefaultSchedule =
     "15m skew 10 2m            # Channel Manager clock runs 2 minutes fast\n"
     "18m churn 1 5 5           # 5 viewers crash, 5 new ones arrive\n";
 
+/// Log in `client` and switch it onto kChannel; true iff both succeeded.
+bool join_channel(net::Deployment& d, net::AsyncClient& client,
+                  util::SimTime budget) {
+  return d.await(
+             [&](net::AsyncClient::Callback done) {
+               client.login([&client, done](core::DrmError err) {
+                 if (err != core::DrmError::kOk) {
+                   done(err);
+                   return;
+                 }
+                 client.switch_channel(kChannel, done);
+               });
+             },
+             budget) == core::DrmError::kOk;
+}
+
 /// Provision `viewers` watching kChannel: each logged in, joined,
 /// announced, and auto-renewing before the next one starts.
 void provision_viewers(net::Deployment& d, geo::RegionId region,
@@ -93,17 +109,7 @@ void provision_viewers(net::Deployment& d, geo::RegionId region,
     const std::string email = "viewer-" + std::to_string(i) + "@example.com";
     d.add_user(email, "pw");
     net::AsyncClient& client = d.add_client(email, "pw", region);
-    bool done = false;
-    client.login([&](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done = true;
-        return;
-      }
-      client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-    });
-    const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-    while (!done && d.sim().now() < deadline && d.sim().step()) {
-    }
+    join_channel(d, client, 5 * util::kMinute);
     d.announce(client);
     client.enable_auto_renewal();
   }
@@ -337,43 +343,10 @@ int run_flash_crowd() {
   return ok ? 0 : 1;
 }
 
-/// Step the simulation until `done` flips or `budget` sim-time elapses.
-bool pump_until(net::Deployment& d, const bool& done, util::SimTime budget) {
-  const util::SimTime deadline = d.sim().now() + budget;
-  while (!done && d.sim().now() < deadline && d.sim().step()) {
-  }
-  return done;
-}
-
-/// Log in `client` and switch it onto kChannel; true iff both succeeded.
-bool join_channel(net::Deployment& d, net::AsyncClient& client,
-                  util::SimTime budget) {
-  bool done = false;
-  bool ok = false;
-  client.login([&](core::DrmError err) {
-    if (err != core::DrmError::kOk) {
-      done = true;
-      return;
-    }
-    client.switch_channel(kChannel, [&](core::DrmError err2) {
-      ok = err2 == core::DrmError::kOk;
-      done = true;
-    });
-  });
-  pump_until(d, done, budget);
-  return ok;
-}
-
 /// One synchronous renewal; true iff it completed with kOk.
 bool renew(net::Deployment& d, net::AsyncClient& client, util::SimTime budget) {
-  bool done = false;
-  bool ok = false;
-  client.renew_channel_ticket([&](core::DrmError err) {
-    ok = err == core::DrmError::kOk;
-    done = true;
-  });
-  pump_until(d, done, budget);
-  return ok;
+  return d.await([&](auto done) { client.renew_channel_ticket(done); }, budget) ==
+         core::DrmError::kOk;
 }
 
 /// The crash-recovery durability gate (journaled farm state, src/store).
@@ -455,10 +428,7 @@ int run_crash_recovery() {
              "in-window renewal accepted before the crash");
   // A replication tick can race the renewal response and fsync the record;
   // in that case wait for the next viewer auto-renewal to stage one.
-  const util::SimTime poll_deadline = d.now() + 10 * util::kMinute;
-  while (d.cm_store(0, 0)->unsynced_ops() == 0 && d.now() < poll_deadline &&
-         d.sim().step()) {
-  }
+  d.await([&] { return d.cm_store(0, 0)->unsynced_ops() > 0; }, 10 * util::kMinute);
   const std::uint64_t staged = d.cm_store(0, 0)->unsynced_ops();
   std::printf("staged (unsynced) audit records on cm[0][0]: %llu\n",
               static_cast<unsigned long long>(staged));

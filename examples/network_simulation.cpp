@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
       });
     });
   }
-  while (done < kViewers && d.sim().step()) {
-  }
+  d.await([&] { return done == kViewers; }, util::kHour);
   std::printf("all %d viewers joined at t=%s\n", done,
               util::format_time(d.sim().now()).c_str());
 

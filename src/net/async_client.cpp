@@ -423,10 +423,6 @@ void AsyncClient::handle_busy(const Envelope& env) {
 // ---------------------------------------------------------------------------
 // Resilience: operation-level failover and session recovery
 
-bool AsyncClient::permanent_failure(core::DrmError err) {
-  return client::is_permanent_failure(err);
-}
-
 util::SimTime AsyncClient::recovery_backoff(int attempt) {
   double delay = static_cast<double>(config_.recovery_delay);
   for (int i = 0; i < attempt; ++i) delay *= 2.0;
@@ -445,7 +441,7 @@ void AsyncClient::run_resilient(std::function<void(Callback)> op, int attempt,
   auto self_op = op;  // keep a copy for the retry closure
   op([this, op = std::move(self_op), attempt, done](DrmError err) {
     if (err == DrmError::kOk || departed_ || !config_.resilience ||
-        permanent_failure(err) || attempt + 1 >= config_.max_recovery_attempts) {
+        client::is_permanent_failure(err) || attempt + 1 >= config_.max_recovery_attempts) {
       done(err);
       return;
     }
@@ -490,7 +486,7 @@ void AsyncClient::recover_session_attempt(util::SimTime started, int attempt,
   const util::ChannelId channel = current_channel_;
   do_login([this, started, attempt, channel, done](DrmError err) {
     const auto retry = [this, started, attempt, done](DrmError failure) {
-      if (permanent_failure(failure)) {
+      if (client::is_permanent_failure(failure)) {
         session_recovery_active_ = false;
         done(failure);
         return;
@@ -566,7 +562,7 @@ void AsyncClient::renew_channel_ticket(Callback done) {
     return;
   }
   do_renew_channel_ticket([this, done](DrmError err) {
-    if (err == DrmError::kOk || departed_ || permanent_failure(err)) {
+    if (err == DrmError::kOk || departed_ || client::is_permanent_failure(err)) {
       done(err);
       return;
     }
@@ -749,6 +745,18 @@ void AsyncClient::maybe_fetch_channel_list(std::vector<std::string> stale,
 // ---------------------------------------------------------------------------
 // Channel switching + join
 
+std::vector<util::ChannelId> AsyncClient::viewable_channels() const {
+  std::vector<util::ChannelId> out;
+  if (!user_ticket_) return out;
+  const util::SimTime now = network_.now();
+  for (const core::ChannelRecord& c : channels_) {
+    if (core::channel_accessible(c, user_ticket_->ticket.attributes, now)) {
+      out.push_back(c.id);
+    }
+  }
+  return out;
+}
+
 std::uint32_t AsyncClient::partition_of(util::ChannelId channel) const {
   for (const core::ChannelRecord& c : channels_) {
     if (c.id == channel) return c.partition;
@@ -858,6 +866,7 @@ void AsyncClient::do_switch_channel(util::ChannelId channel, Callback done) {
                       ++content_decrypted_;
                       content_in_order_ +=
                           reassembly_->insert(packet.seq, *plain).size();
+                      if (content_hook_) content_hook_(packet, *plain);
                     } else {
                       ++content_undecryptable_;
                     }

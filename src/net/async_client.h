@@ -162,6 +162,13 @@ class AsyncClient final : public Node {
   }
   const std::vector<client::LatencySample>& feedback_log() const { return feedback_; }
   const Config& config() const { return config_; }
+  /// The key pair's public half (what LOGIN2 certifies in the User Ticket).
+  const crypto::RsaPublicKey& public_key() const { return keys_.pub; }
+  /// The cached Channel List (refreshed on login when utimes advance).
+  const std::vector<core::ChannelRecord>& cached_channels() const { return channels_; }
+  /// Channels the user could watch right now: the cached list evaluated
+  /// against the User Ticket's attributes (empty when logged out).
+  std::vector<util::ChannelId> viewable_channels() const;
   std::optional<util::NodeId> parent() const { return parent_; }
 
   /// The overlay half (null until the first successful switch).
@@ -190,6 +197,13 @@ class AsyncClient final : public Node {
   void set_key_delivery_hook(KeyDeliveryHook hook) {
     key_delivery_hook_ = std::move(hook);
   }
+
+  /// Called with every content packet this client decrypts (after the
+  /// counters update). Unset by default: the per-packet path then pays one
+  /// empty-check.
+  using ContentHook =
+      std::function<void(const core::ContentPacket& packet, const util::Bytes& plain)>;
+  void set_content_hook(ContentHook hook) { content_hook_ = std::move(hook); }
 
  private:
   struct Pending {
@@ -255,7 +269,6 @@ class AsyncClient final : public Node {
   void arm_starvation_watchdog();
 
   // resilience machinery
-  static bool permanent_failure(core::DrmError err);
   util::SimTime recovery_backoff(int attempt);
   /// Run `op`; on a recoverable failure, fail over (drop cached redirect +
   /// channel list so the next attempt re-resolves both) and retry after a
@@ -286,6 +299,7 @@ class AsyncClient final : public Node {
   obs::LatencyHistogram* key_margin_hist_ = nullptr;
   obs::Gauge* key_staleness_gauge_ = nullptr;
   KeyDeliveryHook key_delivery_hook_;
+  ContentHook content_hook_;
 
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t next_request_id_ = 1;

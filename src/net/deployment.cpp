@@ -1,8 +1,10 @@
 #include "net/deployment.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 
 #include "services/durable_ops.h"
 #include "transport/sim_transport.h"
@@ -150,6 +152,29 @@ sim::Simulation& Deployment::sim() {
     std::abort();
   }
   return sim_;
+}
+
+core::DrmError Deployment::await(
+    const std::function<void(AsyncClient::Callback)>& op, util::SimTime budget) {
+  // Shared with the callback, which may still fire after the budget ran out.
+  auto result = std::make_shared<std::atomic<int>>(-1);
+  op([result](core::DrmError err) { result->store(static_cast<int>(err)); });
+  await([&result] { return result->load() >= 0; }, budget);
+  const int err = result->load();
+  return err >= 0 ? static_cast<core::DrmError>(err) : core::DrmError::kNoCapacity;
+}
+
+bool Deployment::await(const std::function<bool()>& done, util::SimTime budget) {
+  const util::SimTime deadline = now() + budget;
+  if (!live()) {
+    while (!done() && sim_.now() < deadline && sim_.step()) {
+    }
+    return done();
+  }
+  while (!done() && now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 void Deployment::init_durable_state() {
@@ -398,6 +423,15 @@ void Deployment::add_subscription_channel(util::ChannelId id, const std::string&
   cpm_->add_channel(
       services::make_subscription_channel(id, name, region, package, partition),
       now());
+}
+
+std::string Deployment::load_catalog(std::string_view text) {
+  services::CatalogParseResult parsed = services::parse_catalog(text);
+  if (!parsed.ok()) return parsed.error;
+  for (core::ChannelRecord& channel : parsed.channels) {
+    cpm_->add_channel(std::move(channel), now());
+  }
+  return {};
 }
 
 void Deployment::start_channel_server(util::ChannelId id,

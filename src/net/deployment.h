@@ -12,9 +12,11 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/async_client.h"
@@ -139,6 +141,9 @@ class Deployment {
   void add_subscription_channel(util::ChannelId id, const std::string& name,
                                 geo::RegionId region, const std::string& package,
                                 std::uint32_t partition = 0);
+  /// Deploy a whole lineup from catalog-config text (services::parse_catalog
+  /// format). Returns the parse error, empty on success (nothing deployed).
+  std::string load_catalog(std::string_view text);
 
   /// Start the channel's ingest: a ChannelServer plus a root PeerNode on
   /// the network. Key rotations self-schedule in the simulation and push
@@ -255,6 +260,19 @@ class Deployment {
   /// sleeps until the monotonic clock passes t on the thread backend.
   void run_until(util::SimTime t) { transport_->run_until(t); }
   void run_for(util::SimTime dt) { transport_->run_until(now() + dt); }
+
+  /// Blocking facade for drivers: start `op` with a completion callback,
+  /// then advance until the callback fires or `budget` of transport time
+  /// passes. Returns the callback's error, kNoCapacity when the budget ran
+  /// out first. On kSim this steps the simulation one event at a time and
+  /// stops right after the completing event, so a run stays byte-identical
+  /// whichever way it is driven. `op` runs on the calling thread: on the
+  /// live backend it must post client calls to the client's own loop.
+  core::DrmError await(const std::function<void(AsyncClient::Callback)>& op,
+                       util::SimTime budget);
+  /// Predicate form: advance until `done()` holds or `budget` passes (on
+  /// the live backend, polls every millisecond). Returns `done()`.
+  bool await(const std::function<bool()>& done, util::SimTime budget);
 
   // --- component access ---
 

@@ -34,16 +34,10 @@ class DistributedTest : public ::testing::Test {
     d_.start_channel_server(1);
   }
 
-  /// Run an operation to completion inside the simulation.
+  /// Run an operation to completion inside the simulation (rotation timers
+  /// keep the queue non-empty forever, so bound it by a virtual deadline).
   DrmError wait(const std::function<void(AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    // Drain events until the callback fires (rotation timers keep the queue
-    // non-empty forever, so step bounded by a generous virtual deadline).
-    const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-    while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
+    return d_.await(op, 10 * kMinute);
   }
 
   Deployment d_;
@@ -266,9 +260,7 @@ TEST_F(DistributedTest, TotalServiceOutageTimesOutCleanly) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
   std::optional<DrmError> result;
   alice.login([&](DrmError err) { result = err; });
-  const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-  while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-  }
+  d_.await([&] { return result.has_value(); }, 10 * kMinute);
   ASSERT_TRUE(result.has_value());
   EXPECT_NE(*result, DrmError::kOk);
   // The failed round was recorded as such in the feedback log.
@@ -297,12 +289,12 @@ TEST_F(DistributedTest, ConcurrentClientsInterleave) {
       c->switch_channel(1, [slot](DrmError err2) { *slot = err2; });
     });
   }
-  const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-  while (d_.sim().now() < deadline &&
-         std::any_of(done.begin(), done.end(),
-                     [](const auto& o) { return !o.has_value(); }) &&
-         d_.sim().step()) {
-  }
+  d_.await(
+      [&] {
+        return std::all_of(done.begin(), done.end(),
+                           [](const auto& o) { return o.has_value(); });
+      },
+      10 * kMinute);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(done[static_cast<std::size_t>(i)].has_value()) << i;
     EXPECT_EQ(*done[static_cast<std::size_t>(i)], DrmError::kOk) << i;

@@ -203,12 +203,7 @@ class FaultScenarioTest : public ::testing::Test {
 
   static DrmError wait(net::Deployment& dep,
                        const std::function<void(net::AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    const util::SimTime deadline = dep.sim().now() + 10 * kMinute;
-    while (!result && dep.sim().now() < deadline && dep.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
+    return dep.await(op, 10 * kMinute);
   }
 };
 

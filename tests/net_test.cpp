@@ -277,18 +277,18 @@ TEST(ClientLifetimeTest, DestroyedClientTimersAreInert) {
   d.start_channel_server(1);
 
   AsyncClient& c = d.add_client("a@example.com", "pw", region);
-  std::optional<core::DrmError> joined;
-  c.login([&](core::DrmError err) {
-    if (err != core::DrmError::kOk) {
-      joined = err;
-      return;
-    }
-    c.switch_channel(1, [&](core::DrmError err2) { joined = err2; });
-  });
-  const util::SimTime deadline = d.sim().now() + 10 * util::kMinute;
-  while (!joined && d.sim().now() < deadline && d.sim().step()) {
-  }
-  ASSERT_EQ(joined.value_or(core::DrmError::kNoCapacity), core::DrmError::kOk);
+  const core::DrmError joined = d.await(
+      [&](AsyncClient::Callback done) {
+        c.login([&c, done](core::DrmError err) {
+          if (err != core::DrmError::kOk) {
+            done(err);
+            return;
+          }
+          c.switch_channel(1, done);
+        });
+      },
+      10 * util::kMinute);
+  ASSERT_EQ(joined, core::DrmError::kOk);
   c.enable_auto_renewal();  // arms a timer minutes in the future
 
   d.remove_client(c);                // destroys the client object

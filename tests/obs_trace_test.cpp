@@ -38,12 +38,7 @@ DeploymentConfig traced_config() {
 
 DrmError wait(Deployment& dep,
               const std::function<void(AsyncClient::Callback)>& op) {
-  std::optional<DrmError> result;
-  op([&result](DrmError err) { result = err; });
-  const util::SimTime deadline = dep.sim().now() + 10 * kMinute;
-  while (!result && dep.sim().now() < deadline && dep.sim().step()) {
-  }
-  return result.value_or(DrmError::kNoCapacity);
+  return dep.await(op, 10 * kMinute);
 }
 
 /// Drops the first `drops` packets of one message kind; sees everything.

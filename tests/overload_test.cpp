@@ -227,12 +227,7 @@ DeploymentConfig overload_config() {
 
 /// Run one client operation to completion inside the simulation.
 DrmError wait(Deployment& d, const std::function<void(AsyncClient::Callback)>& op) {
-  std::optional<DrmError> result;
-  op([&result](DrmError err) { result = err; });
-  const SimTime deadline = d.sim().now() + 10 * kMinute;
-  while (!result && d.sim().now() < deadline && d.sim().step()) {
-  }
-  return result.value_or(DrmError::kNoCapacity);
+  return d.await(op, 10 * kMinute);
 }
 
 TEST(OverloadDeploymentTest, SaturationShedsFreshLoginsButServesRenewals) {
@@ -275,9 +270,7 @@ TEST(OverloadDeploymentTest, SaturationShedsFreshLoginsButServesRenewals) {
 
   // Drain until every storm login resolved. BUSY-deferred resends let shed
   // viewers in as the backlog clears, so all of them eventually succeed.
-  const SimTime deadline = d.sim().now() + 10 * kMinute;
-  while (completed < kStorm && d.sim().now() < deadline && d.sim().step()) {
-  }
+  d.await([&] { return completed == kStorm; }, 10 * kMinute);
   ASSERT_EQ(completed, kStorm);
   EXPECT_EQ(ok, kStorm);
 

@@ -219,16 +219,6 @@ net::DeploymentConfig zero_latency_config() {
   return cfg;
 }
 
-DrmError run_op(net::Deployment& d,
-                const std::function<void(net::AsyncClient::Callback)>& op) {
-  std::optional<DrmError> result;
-  op([&result](DrmError err) { result = err; });
-  const util::SimTime deadline = d.sim().now() + 10 * kMinute;
-  while (!result && d.sim().now() < deadline && d.sim().step()) {
-  }
-  return result.value_or(DrmError::kNoCapacity);
-}
-
 std::vector<RoundResult> run_on_deployment(const Session& session) {
   net::Deployment d(zero_latency_config());
   provision(d);
@@ -242,12 +232,12 @@ std::vector<RoundResult> run_on_deployment(const Session& session) {
     net::AsyncClient& c = *clients[step.client];
     RoundResult r;
     switch (step.kind) {
-      case Step::kLogin: r.err = run_op(d, [&](auto cb) { c.login(cb); }); break;
+      case Step::kLogin: r.err = d.await([&](auto cb) { c.login(cb); }, kMinute); break;
       case Step::kSwitch:
-        r.err = run_op(d, [&](auto cb) { c.switch_channel(step.channel, cb); });
+        r.err = d.await([&](auto cb) { c.switch_channel(step.channel, cb); }, kMinute);
         break;
       case Step::kRenew:
-        r.err = run_op(d, [&](auto cb) { c.renew_channel_ticket(cb); });
+        r.err = d.await([&](auto cb) { c.renew_channel_ticket(cb); }, kMinute);
         break;
       case Step::kAdvance: d.run_for(step.dt); break;
       case Step::kSubscribe:

@@ -46,12 +46,7 @@ class StoreRecoveryTest : public ::testing::Test {
   }
 
   DrmError wait(const std::function<void(AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-    while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
+    return d_.await(op, 10 * kMinute);
   }
 
   /// login + switch_channel(1); clients are non-resilient by default, so a
