@@ -3,35 +3,47 @@
 // peers. The per-request means feed sim::ServiceCosts.
 #include <benchmark/benchmark.h>
 
-#include "client/testbed.h"
 #include "core/secure_channel.h"
+#include "net/deployment.h"
 
 using namespace p2pdrm;
 
 namespace {
 
-/// Shared testbed with one user, channels, and a logged-in client.
+/// Shared deployment with one user, a channel, and a logged-in client. The
+/// network has zero link latency, so a full exchange costs the managers'
+/// and the client's work plus the envelope codec and the simulated
+/// transport — no modelled delay.
 struct Fixture {
-  Fixture() : tb(make_config()) {
-    tb.add_user("bench@example.com", "pw");
-    region = tb.geo().region_at(0);
-    tb.add_regional_channel(1, "bench-channel", region);
-    tb.start_channel_server(1);
-    client = &tb.add_client("bench@example.com", "pw", region);
-    if (client->login() != core::DrmError::kOk) std::abort();
-    if (client->switch_channel(1) != core::DrmError::kOk) std::abort();
+  Fixture() : d(make_config()) {
+    d.add_user("bench@example.com", "pw");
+    region = d.geo().region_at(0);
+    d.add_regional_channel(1, "bench-channel", region);
+    d.start_channel_server(1);
+    client = &d.add_client("bench@example.com", "pw", region);
+    if (login() != core::DrmError::kOk) std::abort();
+    if (switch_channel() != core::DrmError::kOk) std::abort();
   }
 
-  static client::TestbedConfig make_config() {
-    client::TestbedConfig cfg;
+  static net::DeploymentConfig make_config() {
+    net::DeploymentConfig cfg;
     cfg.seed = 555;
     cfg.key_bits = 1024;  // production-class key size for realistic costs
+    cfg.default_link.latency.floor = 0;
+    cfg.default_link.latency.median = 0;
     return cfg;
   }
 
-  client::Testbed tb;
+  core::DrmError login() {
+    return d.await([this](auto done) { client->login(done); }, util::kMinute);
+  }
+  core::DrmError switch_channel() {
+    return d.await([this](auto done) { client->switch_channel(1, done); }, util::kMinute);
+  }
+
+  net::Deployment d;
   geo::RegionId region = 0;
-  client::Client* client = nullptr;
+  net::AsyncClient* client = nullptr;
 };
 
 Fixture& fixture() {
@@ -42,7 +54,7 @@ Fixture& fixture() {
 void BM_FullLogin(benchmark::State& state) {
   Fixture& f = fixture();
   for (auto _ : state) {
-    if (f.client->login() != core::DrmError::kOk) state.SkipWithError("login failed");
+    if (f.login() != core::DrmError::kOk) state.SkipWithError("login failed");
   }
 }
 BENCHMARK(BM_FullLogin)->Unit(benchmark::kMillisecond);
@@ -50,7 +62,7 @@ BENCHMARK(BM_FullLogin)->Unit(benchmark::kMillisecond);
 void BM_FullChannelSwitch(benchmark::State& state) {
   Fixture& f = fixture();
   for (auto _ : state) {
-    if (f.client->switch_channel(1) != core::DrmError::kOk) {
+    if (f.switch_channel() != core::DrmError::kOk) {
       state.SkipWithError("switch failed");
     }
   }
@@ -60,7 +72,7 @@ BENCHMARK(BM_FullChannelSwitch)->Unit(benchmark::kMillisecond);
 void BM_UserTicketVerify(benchmark::State& state) {
   Fixture& f = fixture();
   const core::SignedUserTicket& ticket = *f.client->user_ticket();
-  const crypto::RsaPublicKey& key = f.tb.user_manager().public_key();
+  const crypto::RsaPublicKey& key = f.d.um_domain().keys.pub;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ticket.verify(key));
   }
@@ -86,7 +98,7 @@ void BM_ChannelTicketIssue(benchmark::State& state) {
   r1.channel_id = 1;
   for (auto _ : state) {
     const core::Switch1Response resp1 =
-        f.tb.switch1(0, r1, f.client->config().addr);
+        f.d.channel_manager(0).handle_switch1(r1, f.client->config().addr, f.d.now());
     benchmark::DoNotOptimize(resp1);
     if (resp1.error != core::DrmError::kOk) state.SkipWithError("switch1 failed");
   }
@@ -95,7 +107,7 @@ BENCHMARK(BM_ChannelTicketIssue)->Unit(benchmark::kMicrosecond);
 
 void BM_PolicyEvaluation(benchmark::State& state) {
   Fixture& f = fixture();
-  const core::ChannelRecord* channel = f.tb.policy_manager().find_channel(1);
+  const core::ChannelRecord* channel = f.d.policy_manager().find_channel(1);
   const core::AttributeSet& attrs = f.client->user_ticket()->ticket.attributes;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::evaluate_policies(*channel, attrs, 0));
@@ -106,7 +118,7 @@ BENCHMARK(BM_PolicyEvaluation);
 void BM_PolicyEvaluationManyPolicies(benchmark::State& state) {
   // A channel with a deep policy stack (per-program blackouts, tiers, ...).
   Fixture& f = fixture();
-  core::ChannelRecord channel = *f.tb.policy_manager().find_channel(1);
+  core::ChannelRecord channel = *f.d.policy_manager().find_channel(1);
   for (int i = 0; i < state.range(0); ++i) {
     core::Policy p;
     p.priority = 60 + static_cast<std::uint32_t>(i);

@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "client/testbed.h"
 #include "net/deployment.h"
 #include "obs/flight_recorder.h"
 
@@ -152,18 +151,20 @@ int run_live(std::size_t viewers) {
   return 0;
 }
 
-/// The original virtual-clock stampede on the synchronous Testbed.
+/// The virtual-clock stampede: one arrival every 50 ms, each logging in
+/// and tuning in as soon as it arrives, all protocol exchanges interleaved
+/// on the simulated network.
 int run_sim(std::size_t viewers) {
-  client::TestbedConfig config;
+  net::DeploymentConfig config;
   config.seed = 23;
   config.cm.peer_list_size = 12;
-  client::Testbed provider(config);
+  net::Deployment provider(config);
   const geo::RegionId region = provider.geo().region_at(0);
   provider.add_regional_channel(kChannel, "the-big-game", region);
   provider.start_channel_server(kChannel);
 
   // Pre-register the audience (accounts exist before the event).
-  std::vector<client::Client*> crowd;
+  std::vector<net::AsyncClient*> crowd;
   for (std::size_t i = 0; i < viewers; ++i) {
     const std::string email = "fan" + std::to_string(i) + "@example.com";
     provider.add_user(email, "pw");
@@ -172,19 +173,26 @@ int run_sim(std::size_t viewers) {
 
   // Kick-off: everyone logs in and tunes to channel 1 within seconds.
   std::size_t joined = 0, denied = 0;
-  for (client::Client* fan : crowd) {
-    provider.clock().advance(50 * util::kMillisecond);  // arrivals in a burst
-    if (fan->login() != core::DrmError::kOk) {
-      ++denied;
-      continue;
-    }
-    if (fan->switch_channel(kChannel) == core::DrmError::kOk) {
-      ++joined;
-      provider.announce(*fan);  // becomes a parent candidate immediately
-    } else {
-      ++denied;
-    }
+  for (std::size_t i = 0; i < crowd.size(); ++i) {
+    net::AsyncClient* fan = crowd[i];
+    provider.post(static_cast<util::SimTime>(i + 1) * 50 * util::kMillisecond, [&, fan] {
+      fan->login([&, fan](core::DrmError err) {
+        if (err != core::DrmError::kOk) {
+          ++denied;
+          return;
+        }
+        fan->switch_channel(kChannel, [&, fan](core::DrmError err2) {
+          if (err2 != core::DrmError::kOk) {
+            ++denied;
+            return;
+          }
+          ++joined;
+          provider.announce(*fan);  // becomes a parent candidate immediately
+        });
+      });
+    });
   }
+  provider.await([&] { return joined + denied == viewers; }, 10 * util::kMinute);
   std::printf("flash crowd: %zu joined, %zu failed out of %zu\n", joined, denied,
               viewers);
   std::printf("tracker now lists %zu peers on the channel (utilization %.2f)\n",
@@ -192,29 +200,24 @@ int run_sim(std::size_t viewers) {
               provider.tracker().utilization(kChannel));
 
   // The whole tree really decrypts the stream.
-  const auto received = provider.broadcast(kChannel, util::bytes_of("KICKOFF!"));
-  std::printf("content reached %zu/%zu viewers through the overlay\n",
-              received.size(), joined);
+  provider.broadcast(kChannel, util::bytes_of("KICKOFF!"));
+  provider.run_for(5 * util::kSecond);
+  std::size_t reached = 0;
+  for (net::AsyncClient* fan : crowd) reached += fan->content_decrypted() > 0 ? 1 : 0;
+  std::printf("content reached %zu/%zu viewers through the overlay\n", reached, joined);
 
   // Depth distribution of the resulting tree: the crowd absorbed itself —
-  // the Channel Server's own upload budget (64 children) did not grow.
+  // the Channel Server's own upload budget did not grow.
+  std::map<util::NodeId, const net::AsyncClient*> by_node;
+  for (const net::AsyncClient* fan : crowd) by_node[fan->config().node] = fan;
   std::map<std::size_t, std::size_t> depth_histogram;
-  for (client::Client* fan : crowd) {
+  for (const net::AsyncClient* fan : crowd) {
     if (!fan->parent()) continue;
-    // Walk up via recorded parents (each client has a single parent here).
+    // Walk up via recorded parents until the channel root (not a client).
     std::size_t depth = 1;
-    util::NodeId cursor = *fan->parent();
-    while (cursor >= 1000) {  // client nodes start at 1000; roots below
+    for (auto up = by_node.find(*fan->parent()); up != by_node.end() && up->second->parent();
+         up = by_node.find(*up->second->parent())) {
       ++depth;
-      client::Client* up = nullptr;
-      for (client::Client* c : crowd) {
-        if (c->config().node == cursor) {
-          up = c;
-          break;
-        }
-      }
-      if (up == nullptr || !up->parent()) break;
-      cursor = *up->parent();
     }
     ++depth_histogram[depth];
   }
@@ -225,7 +228,7 @@ int run_sim(std::size_t viewers) {
   std::printf("\nkeys and content flowed peer-to-peer; the managers only "
               "issued %zu tickets'\nworth of stateless signing work.\n",
               joined * 2);
-  return 0;
+  return joined == viewers && reached == joined ? 0 : 1;
 }
 
 }  // namespace

@@ -10,13 +10,13 @@
 //   ./roaming_viewer
 #include <cstdio>
 
-#include "client/testbed.h"
+#include "net/deployment.h"
 
 using namespace p2pdrm;
 
 namespace {
 
-void show_lineup(const char* label, client::Client& c) {
+void show_lineup(const char* label, const net::AsyncClient& c) {
   std::printf("%s sees channels: ", label);
   for (util::ChannelId id : c.viewable_channels()) std::printf("%u ", id);
   std::printf("\n");
@@ -25,10 +25,10 @@ void show_lineup(const char* label, client::Client& c) {
 }  // namespace
 
 int main() {
-  client::TestbedConfig config;
+  net::DeploymentConfig config;
   config.seed = 11;
   config.geo_plan.num_regions = 2;
-  client::Testbed provider(config);
+  net::Deployment provider(config);
 
   const geo::RegionId home = provider.geo().region_at(0);    // "Region 100"
   const geo::RegionId abroad = provider.geo().region_at(1);  // "Region 101"
@@ -42,45 +42,59 @@ int main() {
   provider.add_regional_channel(3, "abroad-news", abroad);
   for (util::ChannelId id : {1u, 2u, 3u}) provider.start_channel_server(id);
 
+  const auto login = [&](net::AsyncClient& c) {
+    return provider.await([&](auto done) { c.login(done); }, util::kMinute);
+  };
+  const auto watch = [&](net::AsyncClient& c, util::ChannelId channel) {
+    return to_string(provider.await([&](auto done) { c.switch_channel(channel, done); },
+                                    util::kMinute))
+        .data();
+  };
+  const auto renew = [&](net::AsyncClient& c) {
+    return to_string(provider.await([&](auto done) { c.renew_channel_ticket(done); },
+                                    util::kMinute))
+        .data();
+  };
+
   // At home: the home lineup, including the subscribed premium channel.
-  client::Client& at_home = provider.add_client("traveler@example.com", "pw", home);
-  if (at_home.login() != core::DrmError::kOk) return 1;
+  net::AsyncClient& at_home = provider.add_client("traveler@example.com", "pw", home);
+  if (login(at_home) != core::DrmError::kOk) return 1;
   show_lineup("at home   ", at_home);
-  std::printf("premium channel 2 -> %s\n",
-              to_string(at_home.switch_channel(2)).data());
+  std::printf("premium channel 2 -> %s\n", watch(at_home, 2));
 
   // Traveling: same account connects from a region-101 address. The User
   // Manager infers the new region from the connection; the lineup flips.
-  client::Client& abroad_client =
+  net::AsyncClient& abroad_client =
       provider.add_client("traveler@example.com", "pw", abroad);
-  if (abroad_client.login() != core::DrmError::kOk) return 1;
+  if (login(abroad_client) != core::DrmError::kOk) return 1;
   show_lineup("abroad    ", abroad_client);
   std::printf("home channel 1 from abroad -> %s (regional rights)\n",
-              to_string(abroad_client.switch_channel(1)).data());
-  std::printf("abroad channel 3 -> %s\n",
-              to_string(abroad_client.switch_channel(3)).data());
+              watch(abroad_client, 1));
+  std::printf("abroad channel 3 -> %s\n", watch(abroad_client, 3));
 
   // Single-session rule: the abroad machine also tunes to premium channel
   // 2? It cannot (wrong region). But watch what happens when a second
   // machine at home takes over channel 2.
-  client::Client& second_home =
-      provider.add_client("traveler@example.com", "pw", home);
-  if (second_home.login() != core::DrmError::kOk) return 1;
-  std::printf("\nsecond home machine joins channel 2 -> %s\n",
-              to_string(second_home.switch_channel(2)).data());
+  net::AsyncClient& second_home = provider.add_client("traveler@example.com", "pw", home);
+  if (login(second_home) != core::DrmError::kOk) return 1;
+  std::printf("\nsecond home machine joins channel 2 -> %s\n", watch(second_home, 2));
 
   // Near ticket expiry both machines try to renew: the log's latest entry
   // points at the second machine, so only it succeeds (§IV-D).
-  provider.clock().advance(8 * util::kMinute);
-  std::printf("first  machine renewal -> %s\n",
-              to_string(at_home.renew_channel_ticket()).data());
-  std::printf("second machine renewal -> %s\n",
-              to_string(second_home.renew_channel_ticket()).data());
+  provider.run_for(8 * util::kMinute);
+  std::printf("first  machine renewal -> %s\n", renew(at_home));
+  std::printf("second machine renewal -> %s\n", renew(second_home));
 
-  // Past expiry, peers sever the unrenewed first machine.
-  provider.clock().advance(3 * util::kMinute);
-  const std::size_t severed = provider.evict_expired();
-  std::printf("peering severed at expiry for %zu client(s)\n", severed);
+  // Past expiry, the channel roots' eviction sweeps sever every unrenewed
+  // child: the first home machine and the abroad machine on channel 3.
+  const auto children = [&] {
+    std::size_t n = 0;
+    for (util::ChannelId id : {1u, 2u, 3u}) n += provider.root_node(id)->peer().child_count();
+    return n;
+  };
+  const std::size_t before = children();
+  provider.run_for(3 * util::kMinute);
+  std::printf("peering severed at expiry for %zu client(s)\n", before - children());
   std::printf("\nthe account was never able to watch one channel from two "
               "places at once,\nand the user never re-entered credentials "
               "after the initial sign-on.\n");

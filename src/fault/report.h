@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "client/client.h"
+#include "net/async_client.h"
 #include "net/deployment.h"
 #include "services/metrics.h"
 

@@ -4,6 +4,35 @@
 
 #include "core/client_flows.h"
 
+namespace p2pdrm::client {
+
+std::string_view to_string(Round r) {
+  switch (r) {
+    case Round::kLogin1: return "LOGIN1";
+    case Round::kLogin2: return "LOGIN2";
+    case Round::kSwitch1: return "SWITCH1";
+    case Round::kSwitch2: return "SWITCH2";
+    case Round::kJoin: return "JOIN";
+  }
+  return "?";
+}
+
+bool is_permanent_failure(core::DrmError err) {
+  switch (err) {
+    case core::DrmError::kUnknownUser:
+    case core::DrmError::kBadCredentials:
+    case core::DrmError::kAttestationFailed:
+    case core::DrmError::kVersionTooOld:
+    case core::DrmError::kAccessDenied:
+    case core::DrmError::kUnknownChannel:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace p2pdrm::client
+
 namespace p2pdrm::net {
 
 using client::Round;

@@ -1,25 +1,46 @@
-// Event-driven client for the simulated network deployment.
-//
-// Runs the same protocol sequence as client::Client (redirect → LOGIN1/2 →
-// channel list → SWITCH1/2 → JOIN → renewals) but asynchronously over the
-// lossy datagram network: every request carries a request id, is timed out
-// and retransmitted up to a retry budget, and completions are delivered via
-// callbacks inside the discrete-event simulation. Peer-side duties (serving
-// joins, relaying keys, forwarding content) are delegated to an embedded
-// PeerNode, so a fleet of AsyncClients forms a real working overlay.
+// The protocol client: redirect → LOGIN1/2 → channel list → SWITCH1/2 →
+// JOIN → renewals (§III–IV), run asynchronously over the lossy datagram
+// network. Every request carries a request id, is timed out and
+// retransmitted up to a retry budget, and completes via a callback on the
+// client's own transport loop. Peer-side duties (serving joins, relaying
+// keys, forwarding content) are delegated to an embedded PeerNode, so a
+// fleet of AsyncClients forms a real working overlay. Deployment::await is
+// the blocking facade for drivers that want one operation at a time.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 
-#include "client/client.h"  // Round / LatencySample vocabulary
 #include "net/service_nodes.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "p2p/substream.h"
+
+namespace p2pdrm::client {
+
+/// Protocol rounds, named as in the paper's evaluation.
+enum class Round : std::uint8_t { kLogin1, kLogin2, kSwitch1, kSwitch2, kJoin };
+std::string_view to_string(Round r);
+
+/// True for failures no amount of retrying, failover, or re-login can fix
+/// (bad credentials, access denied, ...). Infrastructure errors — timeouts,
+/// capacity, wrong-partition — are recoverable and return false.
+bool is_permanent_failure(core::DrmError err);
+
+/// One timed protocol round in the client's feedback log — the measurement
+/// instrument behind the paper's Figs. 5 and 6.
+struct LatencySample {
+  Round round;
+  util::SimTime started = 0;
+  util::SimTime latency = 0;
+  bool success = false;
+};
+
+}  // namespace p2pdrm::client
 
 namespace p2pdrm::net {
 

@@ -1,10 +1,9 @@
 #include "net/deployment.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "services/durable_ops.h"
 #include "transport/sim_transport.h"
@@ -157,22 +156,16 @@ sim::Simulation& Deployment::sim() {
 core::DrmError Deployment::await(
     const std::function<void(AsyncClient::Callback)>& op, util::SimTime budget) {
   // Shared with the callback, which may still fire after the budget ran out.
-  auto result = std::make_shared<std::atomic<int>>(-1);
-  op([result](core::DrmError err) { result->store(static_cast<int>(err)); });
-  await([&result] { return result->load() >= 0; }, budget);
-  const int err = result->load();
-  return err >= 0 ? static_cast<core::DrmError>(err) : core::DrmError::kNoCapacity;
+  auto result = std::make_shared<std::optional<core::DrmError>>();
+  op([result](core::DrmError err) { *result = err; });
+  await([&result] { return result->has_value(); }, budget);
+  return result->value_or(core::DrmError::kNoCapacity);
 }
 
 bool Deployment::await(const std::function<bool()>& done, util::SimTime budget) {
-  const util::SimTime deadline = now() + budget;
-  if (!live()) {
-    while (!done() && sim_.now() < deadline && sim_.step()) {
-    }
-    return done();
-  }
-  while (!done() && now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  sim::Simulation& engine = sim();
+  const util::SimTime deadline = engine.now() + budget;
+  while (!done() && engine.now() < deadline && engine.step()) {
   }
   return done();
 }

@@ -1,7 +1,8 @@
 // Full networked deployment over a swappable transport: every manager is a
 // network node, every client is an AsyncClient, all protocol bytes cross
-// the lossy wire with latency. The message-passing sibling of
-// client::Testbed.
+// the lossy wire with latency. It is the one harness every in-process
+// scenario runs on — tests, examples, benches — with await() as the
+// blocking facade for drivers that take one operation at a time.
 //
 // The default backend is the discrete-event simulator (deterministic,
 // virtual time). With DeploymentConfig::transport = TransportKind::kThread
@@ -262,16 +263,16 @@ class Deployment {
   void run_for(util::SimTime dt) { transport_->run_until(now() + dt); }
 
   /// Blocking facade for drivers: start `op` with a completion callback,
-  /// then advance until the callback fires or `budget` of transport time
-  /// passes. Returns the callback's error, kNoCapacity when the budget ran
-  /// out first. On kSim this steps the simulation one event at a time and
-  /// stops right after the completing event, so a run stays byte-identical
-  /// whichever way it is driven. `op` runs on the calling thread: on the
-  /// live backend it must post client calls to the client's own loop.
+  /// then step the simulation until the callback fires or `budget` of
+  /// virtual time passes. Returns the callback's error, kNoCapacity when the
+  /// budget ran out first. It stops right after the completing event, so a
+  /// run stays byte-identical whichever way it is driven. Sim backend only
+  /// (aborts on the live backend, like sim()); live drivers post to the
+  /// client's loop and wait on a future.
   core::DrmError await(const std::function<void(AsyncClient::Callback)>& op,
                        util::SimTime budget);
-  /// Predicate form: advance until `done()` holds or `budget` passes (on
-  /// the live backend, polls every millisecond). Returns `done()`.
+  /// Predicate form: step until `done()` holds or `budget` passes. Returns
+  /// `done()`.
   bool await(const std::function<bool()>& done, util::SimTime budget);
 
   // --- component access ---

@@ -1,5 +1,5 @@
-// Builders for common channel configurations (Fig. 2's patterns), shared by
-// the in-process Testbed and the networked Deployment.
+// Builders for common channel configurations (Fig. 2's patterns) and the
+// catalog-config parser behind net::Deployment's provisioning API.
 #pragma once
 
 #include <string>

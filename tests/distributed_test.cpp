@@ -3,6 +3,8 @@
 // interleaving, and content/key delivery as real network events.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "net/deployment.h"
 
 namespace p2pdrm::net {
@@ -109,6 +111,94 @@ TEST_F(DistributedTest, KeyRotationPropagatesThroughNetworkTree) {
   EXPECT_EQ(alice.content_decrypted(), 1u);
   EXPECT_EQ(alice.content_undecryptable(), 0u);
   EXPECT_GE(alice.peer_node()->peer().known_key_count(), 2u);
+}
+
+/// Protocol rounds under injected link latency and server processing time:
+/// the client's feedback log becomes a small-scale analogue of the paper's
+/// production measurements.
+class ClientLatencyTest : public DistributedTest {
+ protected:
+  static DeploymentConfig latency_config() {
+    DeploymentConfig cfg = base_config();
+    cfg.seed = 77;
+    cfg.default_link.latency.floor = 40 * kMillisecond;
+    cfg.default_link.latency.median = 100 * kMillisecond;
+    cfg.default_link.latency.sigma = 0.4;
+    cfg.processing.light = 1 * kMillisecond;   // redirect, LOGIN1, SWITCH1
+    cfg.processing.heavy = 40 * kMillisecond;  // LOGIN2, SWITCH2, JOIN (RSA)
+    return cfg;
+  }
+  ClientLatencyTest() : DistributedTest(latency_config()) {}
+};
+
+TEST_F(ClientLatencyTest, FeedbackLogRecordsPositiveLatencies) {
+  AsyncClient& c = d_.add_client("alice@example.com", "pw-a", region_);
+  ASSERT_EQ(wait([&](auto cb) { c.login(cb); }), DrmError::kOk);
+  ASSERT_EQ(wait([&](auto cb) { c.switch_channel(1, cb); }), DrmError::kOk);
+
+  std::array<int, 5> rounds{};
+  for (const client::LatencySample& s : c.feedback_log()) {
+    ++rounds[static_cast<std::size_t>(s.round)];
+    EXPECT_TRUE(s.success);
+    // Every round crossed the network floor at least once (out and back).
+    EXPECT_GE(s.latency, 40 * kMillisecond) << to_string(s.round);
+    EXPECT_LT(s.latency, 10 * kSecond);
+  }
+  for (std::size_t r = 0; r < rounds.size(); ++r) EXPECT_GE(rounds[r], 1) << r;
+}
+
+TEST_F(ClientLatencyTest, Login2CostsMoreThanLogin1) {
+  // Aggregate over several logins: LOGIN2 carries the RSA-heavy service
+  // cost, so its mean must exceed LOGIN1's (the paper's Fig. 5a ordering).
+  AsyncClient& c = d_.add_client("alice@example.com", "pw-a", region_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(wait([&](auto cb) { c.login(cb); }), DrmError::kOk);
+  }
+  double login1_total = 0, login2_total = 0;
+  int n1 = 0, n2 = 0;
+  for (const client::LatencySample& s : c.feedback_log()) {
+    if (s.round == client::Round::kLogin1) {
+      login1_total += static_cast<double>(s.latency);
+      ++n1;
+    } else if (s.round == client::Round::kLogin2) {
+      login2_total += static_cast<double>(s.latency);
+      ++n2;
+    }
+  }
+  ASSERT_GT(n1, 0);
+  ASSERT_GT(n2, 0);
+  EXPECT_GT(login2_total / n2, login1_total / n1);
+}
+
+TEST_F(ClientLatencyTest, RoundsOrderedInTime) {
+  AsyncClient& c = d_.add_client("alice@example.com", "pw-a", region_);
+  ASSERT_EQ(wait([&](auto cb) { c.login(cb); }), DrmError::kOk);
+  ASSERT_EQ(wait([&](auto cb) { c.switch_channel(1, cb); }), DrmError::kOk);
+  for (std::size_t i = 1; i < c.feedback_log().size(); ++i) {
+    EXPECT_GE(c.feedback_log()[i].started, c.feedback_log()[i - 1].started);
+  }
+}
+
+TEST_F(ClientLatencyTest, ClockAdvancesWithTraffic) {
+  AsyncClient& c = d_.add_client("alice@example.com", "pw-a", region_);
+  const util::SimTime before = d_.now();
+  ASSERT_EQ(wait([&](auto cb) { c.login(cb); }), DrmError::kOk);
+  EXPECT_GT(d_.now(), before);
+}
+
+TEST_F(ClientLatencyTest, ProtocolStillCorrectUnderLatency) {
+  // Latency must not break any protocol invariant: challenges are still
+  // fresh (2-minute budget vs sub-second RTTs), tickets verify, renewal
+  // works.
+  AsyncClient& c = d_.add_client("alice@example.com", "pw-a", region_);
+  ASSERT_EQ(wait([&](auto cb) { c.login(cb); }), DrmError::kOk);
+  ASSERT_EQ(wait([&](auto cb) { c.switch_channel(1, cb); }), DrmError::kOk);
+  EXPECT_TRUE(c.user_ticket()->verify(d_.um_domain().keys.pub));
+  EXPECT_TRUE(c.channel_ticket()->verify(d_.channel_manager().public_key()));
+
+  d_.run_for(8 * kMinute);
+  EXPECT_EQ(wait([&](auto cb) { c.renew_channel_ticket(cb); }), DrmError::kOk);
+  EXPECT_TRUE(c.channel_ticket()->ticket.renewal);
 }
 
 class StripedDistributedTest : public DistributedTest {

@@ -4,7 +4,6 @@
 
 #include "util/bytes.h"
 #include "util/ids.h"
-#include "util/log.h"
 #include "util/time.h"
 #include "util/wire.h"
 
@@ -186,39 +185,6 @@ TEST(NetAddrTest, RejectsMalformed) {
 TEST(NetAddrTest, Ordering) {
   EXPECT_LT(NetAddr{1}, NetAddr{2});
   EXPECT_EQ(NetAddr{7}, NetAddr{7});
-}
-
-class LogTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_log_level(LogLevel::kOff); }
-};
-
-TEST_F(LogTest, ThresholdFilters) {
-  set_log_level(LogLevel::kWarn);
-  ::testing::internal::CaptureStderr();
-  log_line(LogLevel::kInfo, "component", "hidden");
-  log_line(LogLevel::kWarn, "component", "visible");
-  log_line(LogLevel::kError, "component", "also visible");
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible"), std::string::npos);
-  EXPECT_NE(out.find("[ERROR] component: also visible"), std::string::npos);
-}
-
-TEST_F(LogTest, StreamHelperFormats) {
-  set_log_level(LogLevel::kDebug);
-  ::testing::internal::CaptureStderr();
-  P2PDRM_LOG(LogLevel::kInfo, "client") << "joined " << 42;
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("[INFO] client: joined 42"), std::string::npos);
-}
-
-TEST_F(LogTest, OffDiscardsEverything) {
-  set_log_level(LogLevel::kOff);
-  ::testing::internal::CaptureStderr();
-  log_line(LogLevel::kError, "x", "nope");
-  P2PDRM_LOG(LogLevel::kError, "x") << "nor this";
-  EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
 }
 
 }  // namespace
