@@ -11,7 +11,6 @@ using client::LatencySample;
 using client::Round;
 using core::DrmError;
 using util::kMinute;
-using util::kSecond;
 
 class IntegrationTest : public ::testing::Test {
  protected:
